@@ -281,58 +281,50 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 	b.Run("adaptive", func(b *testing.B) { run(b, mk(WithAdaptivePolicy(512, 0.05, false))) })
 }
 
-// BenchmarkAblationCovering contrasts the overlay with and without
-// covering-based route pruning.
-func BenchmarkAblationCovering(b *testing.B) {
+// BenchmarkOverlayNestedRoutes publishes across a three-broker line whose
+// routes nest heavily, so the link filters' covering pruning keeps only a
+// few of the 100 routes indexed ("routes" reports how many).
+func BenchmarkOverlayNestedRoutes(b *testing.B) {
 	sch := MustSchema(Attr("price", MustNumericDomain(0, 1000)))
-	for _, covering := range []bool{false, true} {
-		name := "off"
-		if covering {
-			name = "on"
+	nw := routing.NewNetwork(sch, routing.Options{})
+	defer nw.Close()
+	for _, n := range []string{"A", "B", "C"} {
+		if _, err := nw.AddNode(n); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			nw := routing.NewNetwork(sch, routing.Options{Covering: covering})
-			defer nw.Close()
-			for _, n := range []string{"A", "B", "C"} {
-				if _, err := nw.AddNode(n); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := nw.Connect("A", "B"); err != nil {
-				b.Fatal(err)
-			}
-			if err := nw.Connect("B", "C"); err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(benchSeed))
-			// Nested ranges: heavy covering potential.
-			for i := 0; i < 100; i++ {
-				lo := float64(rng.Intn(400))
-				expr := fmt.Sprintf("profile(price >= %g)", lo)
-				p, err := predicate.Parse(sch, predicate.ID(fmt.Sprintf("r%d", i)), expr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := nw.Subscribe("C", p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			a, err := nw.Node("A")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(a.RouteCount("B")), "routes")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev, err := event.New(sch, float64(rng.Intn(1001)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := nw.Publish("A", ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+	if err := nw.Connect("A", "B"); err != nil {
+		b.Fatal(err)
+	}
+	if err := nw.Connect("B", "C"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(benchSeed))
+	for i := 0; i < 100; i++ {
+		lo := float64(rng.Intn(400))
+		expr := fmt.Sprintf("profile(price >= %g)", lo)
+		p, err := predicate.Parse(sch, predicate.ID(fmt.Sprintf("r%d", i)), expr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := nw.Subscribe("C", p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	a, err := nw.Node("A")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(a.RouteCount("B")), "routes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := event.New(sch, float64(rng.Intn(1001)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := nw.Publish("A", ev); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -177,10 +177,8 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if st.Restructures > 0 {
 			fmt.Fprintf(stdout, "adaptive restructures: %d\n", st.Restructures)
 		}
-		if st.Aggregated {
-			fmt.Fprintf(stdout, "canonical nodes: %d\ncanonical roots: %d\nposet depth: %d\nprofiles/canonical: %.2f\n",
-				st.CanonicalNodes, st.CanonicalRoots, st.PosetDepth, st.ProfilesPerCanonical)
-		}
+		fmt.Fprintf(stdout, "canonical nodes: %d\ncanonical roots: %d\nposet depth: %d\nprofiles/canonical: %.2f\n",
+			st.CanonicalNodes, st.CanonicalRoots, st.PosetDepth, st.ProfilesPerCanonical)
 		if st.Node != "" {
 			fmt.Fprintf(stdout, "federation node: %s\npeers: %d\nforwarded: %d\nrejected at links: %d\n",
 				st.Node, st.Peers, st.Forwarded, st.Filtered)

@@ -64,8 +64,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		proto      = fs.String("proto", "auto", "max wire protocol: auto | v1 | v2 (v1 pins every connection to JSON lines)")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
-		covering   = fs.Bool("covering", true, "prune covered routes from per-peer-link filters (federation)")
-		aggregate  = fs.Bool("aggregate", false, "canonical subscription aggregation: intern equal structures, index only covering-poset roots")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,9 +97,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		genas.WithAttrOrdering(*attrs),
 		genas.WithSearch(*search),
 		genas.WithShards(*shards),
-	}
-	if *aggregate {
-		opts = append(opts, genas.WithAggregation())
 	}
 	if *adaptiveOn {
 		opts = append(opts, genas.WithAdaptivePolicy(*window, *threshold, false))
@@ -151,10 +146,9 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 			return 2
 		}
 		fed, err = federation.New(hook.BrokerOf(svc), federation.Options{
-			Node:     *node,
-			Covering: *covering,
-			Logger:   logger,
-			Proto:    maxProto,
+			Node:   *node,
+			Logger: logger,
+			Proto:  maxProto,
 		})
 		if err != nil {
 			logger.Printf("federation: %v", err)

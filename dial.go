@@ -101,8 +101,7 @@ type RemoteStats struct {
 	FilterOps     uint64
 	MeanOps       float64
 	Restructures  int
-	// Aggregation counters (aggregated daemons only).
-	Aggregated           bool
+	// Canonical index counters (see Stats).
 	CanonicalNodes       int
 	CanonicalRoots       int
 	PosetDepth           int
@@ -220,7 +219,6 @@ func (c *Client) Stats() (RemoteStats, error) {
 		FilterOps:            p.FilterOps,
 		MeanOps:              p.MeanOps,
 		Restructures:         p.Restructures,
-		Aggregated:           p.Aggregated,
 		CanonicalNodes:       p.CanonicalNodes,
 		CanonicalRoots:       p.CanonicalRoots,
 		PosetDepth:           p.PosetDepth,
@@ -257,7 +255,6 @@ func JoinNetwork(sch *Schema, node string, peers []string, opts ...DialOption) (
 	}
 	fed, err := federation.New(svc.brk, federation.Options{
 		Node:        node,
-		Covering:    true,
 		DialTimeout: cfg.timeout,
 		Proto:       cfg.proto.wireProto(),
 	})

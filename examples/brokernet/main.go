@@ -30,7 +30,7 @@ func run() error {
 	//   berlin        paris
 	//   /    \
 	// hamburg munich
-	nw := genas.NewNetwork(sch, true)
+	nw := genas.NewNetwork(sch)
 	defer nw.Close()
 	for _, n := range []string{"frankfurt", "berlin", "paris", "hamburg", "munich"} {
 		if err := nw.AddNode(n); err != nil {

@@ -43,7 +43,7 @@ func startDaemon(sch *genas.Schema, node string, peers ...string) (*daemon, erro
 		return nil, err
 	}
 	brk := hook.BrokerOf(svc)
-	fed, err := federation.New(brk, federation.Options{Node: node, Covering: true})
+	fed, err := federation.New(brk, federation.Options{Node: node})
 	if err != nil {
 		svc.Close()
 		return nil, err
@@ -109,7 +109,7 @@ func run() error {
 	defer c.stop()
 
 	// A subscriber at the far end of the chain...
-	subC, err := wire.Dial(c.addr, rpcTimeout)
+	subC, err := wire.DialWith(c.addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func run() error {
 		return err
 	}
 	// ...and a local watcher at the middle hop.
-	subB, err := wire.Dial(b.addr, rpcTimeout)
+	subB, err := wire.DialWith(b.addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		return err
 	}
@@ -127,7 +127,7 @@ func run() error {
 		return err
 	}
 
-	pub, err := wire.Dial(a.addr, rpcTimeout)
+	pub, err := wire.DialWith(a.addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		return err
 	}

@@ -170,19 +170,6 @@ func WithBinarySearch() Option {
 	return WithSearch("binary")
 }
 
-// WithAggregation enables canonical subscription aggregation: structurally
-// equivalent profiles intern to one canonical predicate node, the nodes form
-// a covering poset, and the filter automaton indexes only the poset's roots.
-// Matched canonical nodes are expanded back to concrete subscription ids at
-// delivery time, so per-subscription semantics (priorities, buffers,
-// counters) are untouched. Construction-time only, like the shard count.
-func WithAggregation() Option {
-	return func(o *options) error {
-		o.broker.Engine.Aggregate = true
-		return nil
-	}
-}
-
 // WithSearch selects the within-node search strategy by name: "linear"
 // (ordered scan with the lookup-table early-termination rule), "binary",
 // "interpolation" or "hash" (the further strategies of the paper's outlook,
@@ -560,9 +547,6 @@ type Stats struct {
 	// Restructures counts adaptive tree restructures (0 without
 	// WithAdaptive).
 	Restructures int
-	// Aggregated reports whether canonical subscription aggregation is on
-	// (WithAggregation). The remaining fields are zero when it is off.
-	Aggregated bool
 	// CanonicalNodes is the number of distinct canonical predicates the
 	// subscriptions intern to; CanonicalRoots of those are uncovered and
 	// indexed by the automaton.
@@ -586,7 +570,6 @@ func (s *Service) Stats() Stats {
 		FilterOps:            bs.FilterOps,
 		MeanOps:              bs.MeanOps,
 		Restructures:         s.Restructures(),
-		Aggregated:           bs.Aggregation.Enabled,
 		CanonicalNodes:       bs.Aggregation.Nodes,
 		CanonicalRoots:       bs.Aggregation.Roots,
 		PosetDepth:           bs.Aggregation.MaxDepth,

@@ -215,7 +215,7 @@ func TestServicePriority(t *testing.T) {
 
 func TestNetworkFacade(t *testing.T) {
 	sch := monitoringSchema(t)
-	nw := NewNetwork(sch, true)
+	nw := NewNetwork(sch)
 	defer nw.Close()
 	for _, n := range []string{"edge", "core"} {
 		if err := nw.AddNode(n); err != nil {

@@ -61,10 +61,12 @@ func TestUserCentricFavorsPriorityProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Dense index of the vip profile in the engine's corpus.
+		// Dense index of the vip's canonical representative in the tree:
+		// representatives carry synthetic ids, but the vip's is the only
+		// one matching v = 90 (the crowd watches [0,50)).
 		tr := e.Tree()
 		for pi, p := range tr.Profiles() {
-			if p.ID == "vip" {
+			if p.Matches([]float64{90}) {
 				pc := analysis.PerProfile[pi]
 				if pc.MatchProb == 0 {
 					t.Fatal("vip profile unreachable")

@@ -49,12 +49,19 @@ type attrCanon struct {
 // attribute index.
 func canonOf(s *schema.Schema, p *predicate.Profile) []attrCanon {
 	out := make([]attrCanon, 0, len(p.Preds))
+	// One backing array holds every attribute's intervals.
+	n := 0
+	for _, pr := range p.Preds {
+		n += max(2, len(pr.Set))
+	}
+	all := make([]schema.Interval, 0, n)
 	for attr := 0; attr < s.N(); attr++ {
 		if !p.Constrains(attr) {
 			continue
 		}
-		ivs := p.Pred(attr).Intervals(s.At(attr).Domain)
-		out = append(out, attrCanon{attr: attr, ivs: mergeIntervals(ivs)})
+		lo := len(all)
+		all = p.Pred(attr).AppendIntervals(all, s.At(attr).Domain)
+		out = append(out, attrCanon{attr: attr, ivs: mergeIntervals(all[lo:len(all):len(all)])})
 	}
 	return out
 }
@@ -90,11 +97,10 @@ func mergeIntervals(ivs []schema.Interval) []schema.Interval {
 	return out
 }
 
-// keyOf encodes the canonical form into the interning key. Two profiles get
-// the same key iff they constrain the same attributes with the same accepted
-// unions — i.e. iff they cover each other under predicate.Covers.
-func keyOf(canon []attrCanon) string {
-	var b []byte
+// appendKey appends the canonical form's interning key to b. Two profiles
+// get the same key iff they constrain the same attributes with the same
+// accepted unions — i.e. iff they cover each other under predicate.Covers.
+func appendKey(b []byte, canon []attrCanon) []byte {
 	for _, ac := range canon {
 		b = binary.BigEndian.AppendUint32(b, uint32(ac.attr))
 		b = binary.BigEndian.AppendUint32(b, uint32(len(ac.ivs)))
@@ -111,7 +117,7 @@ func keyOf(canon []attrCanon) string {
 			b = append(b, flags)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // posZero folds -0 into +0 so the two bit patterns intern identically.

@@ -26,12 +26,19 @@ type node struct {
 	// roots) and the expansion walk evaluates (for inner nodes). Its ID is
 	// synthetic; its predicate column is shared with the first member.
 	rep *predicate.Profile
+	// repVal backs rep, so a new node costs one allocation, not two.
+	repVal predicate.Profile
 	// subs is append-only: frozen snapshots alias the backing array, so
-	// removal copies (COW) instead of truncating in place.
+	// removal copies (COW) instead of truncating in place. A new node's
+	// first member lives in sub0.
 	subs    []SubRef
+	sub0    [1]SubRef
 	kids    []*node
 	parents []*node
 	root    bool
+	// kidIdx is the kid index list the last Freeze published. Snapshots
+	// alias it, so it is replaced, never written, once kids change.
+	kidIdx []int32
 
 	// Per-operation DFS scratch, guarded by the owner's writer mutex.
 	visit   uint32 // pushed on the traversal stack this generation
@@ -104,6 +111,12 @@ type Poset struct {
 	roots  int
 	gen    uint32
 	seq    int64 // synthetic rep id counter; never reused, survives Compact
+
+	// Buffers reused by every Add: the interning key (and then the rep id)
+	// under construction, the DFS stack, and the parent and kid sets that
+	// linkNew consumes before returning.
+	keyBuf               []byte
+	stack, parents, kids []*node
 }
 
 // NewPoset creates an empty poset over schema s.
@@ -167,8 +180,8 @@ func (po *Poset) Profiles() []*predicate.Profile {
 // Has; p's predicate column is aliased, not copied.
 func (po *Poset) Add(p *predicate.Profile) AddResult {
 	canon := canonOf(po.sch, p)
-	key := keyOf(canon)
-	if n := po.byKey[key]; n != nil {
+	po.keyBuf = appendKey(po.keyBuf[:0], canon)
+	if n := po.byKey[string(po.keyBuf)]; n != nil {
 		// Interning hit: the structure exists, attach the member. The tree
 		// and the poset edges are untouched.
 		n.subs = append(n.subs, SubRef{ID: p.ID, Priority: p.Priority})
@@ -177,16 +190,16 @@ func (po *Poset) Add(p *predicate.Profile) AddResult {
 		return AddResult{NodeIdx: n.idx}
 	}
 	n := &node{
-		key:   key,
+		key:   string(po.keyBuf),
 		mask:  maskOf(canon),
 		canon: canon,
-		subs:  []SubRef{{ID: p.ID, Priority: p.Priority}},
+		sub0:  [1]SubRef{{ID: p.ID, Priority: p.Priority}},
 	}
+	n.subs = n.sub0[:]
 	po.seq++
-	n.rep = &predicate.Profile{
-		ID:    predicate.ID("\x00agg:" + strconv.FormatInt(po.seq, 10)),
-		Preds: p.Preds,
-	}
+	po.keyBuf = strconv.AppendInt(append(po.keyBuf[:0], "\x00agg:"...), po.seq, 10)
+	n.repVal = predicate.Profile{ID: predicate.ID(po.keyBuf), Preds: p.Preds}
+	n.rep = &n.repVal
 	po.bySub[p.ID] = n
 	po.subCnt++
 	demoted := po.linkNew(n)
@@ -209,13 +222,13 @@ func (po *Poset) linkNew(n *node) []int32 {
 	parents := po.findParents(n)
 	kids := po.findKids(n, parents)
 
+	n.parents = append(n.parents, parents...)
 	for _, pa := range parents {
 		pa.kids = append(pa.kids, n)
-		n.parents = append(n.parents, pa)
 	}
+	n.kids = append(n.kids, kids...)
 	var demoted []int32
 	for _, k := range kids {
-		n.kids = append(n.kids, k)
 		k.parents = append(k.parents, n)
 		if k.root {
 			k.root = false
@@ -238,7 +251,7 @@ func (po *Poset) linkNew(n *node) []int32 {
 func (po *Poset) findParents(n *node) []*node {
 	po.gen++
 	gen := po.gen
-	var minimal, stack []*node
+	minimal, stack := po.parents[:0], po.stack[:0]
 	for _, r := range po.nodes {
 		if r == nil || !r.root || r == n {
 			continue
@@ -272,6 +285,7 @@ func (po *Poset) findParents(n *node) []*node {
 			minimal = append(minimal, x)
 		}
 	}
+	po.parents, po.stack = minimal, stack
 	return minimal
 }
 
@@ -287,7 +301,7 @@ func (po *Poset) findKids(n *node, parents []*node) []*node {
 	for _, pa := range parents {
 		pa.pmark = gen
 	}
-	var maximal, stack []*node
+	maximal, stack := po.kids[:0], po.stack[:0]
 	for _, r := range po.nodes {
 		if r == nil || !r.root || r == n {
 			continue
@@ -309,6 +323,7 @@ func (po *Poset) findKids(n *node, parents []*node) []*node {
 			}
 		}
 	}
+	po.kids, po.stack = maximal, stack
 	return maximal
 }
 

@@ -841,8 +841,7 @@ type Stats struct {
 	FilterEvents uint64
 	FilterOps    uint64
 	MeanOps      float64
-	// Aggregation describes the engine's canonical subscription layer
-	// (Enabled false, zero counters, on an unaggregated engine).
+	// Aggregation describes the engine's canonical subscription index.
 	Aggregation core.AggStats
 }
 

@@ -43,24 +43,9 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 	if snap.empty || snap.tree == nil {
 		return make([]BatchResult, len(events)), nil
 	}
-	t := snap.tree
-
 	results := make([]BatchResult, len(events))
-	profiles := t.Profiles()
 	runBatch(len(events), workers, func(i int) {
-		matched, ops := t.Match(events[i])
-		if snap.expand != nil {
-			ids, expOps := snap.expand.Expand(events[i], matched, snap.t2n, t, nil)
-			results[i] = BatchResult{IDs: ids, Ops: ops + expOps}
-			return
-		}
-		ids := make([]predicate.ID, 0, len(matched))
-		for _, pi := range matched {
-			if t.Dead(pi) {
-				continue
-			}
-			ids = append(ids, profiles[pi].ID)
-		}
+		ids, ops := snap.match(events[i], nil)
 		results[i] = BatchResult{IDs: ids, Ops: ops}
 	})
 

@@ -1,6 +1,7 @@
 // Package core assembles the paper's primary contribution: the
 // distribution-dependent tree filter (§4). An Engine owns the profile
-// corpus, builds the profile-tree automaton, applies the configured
+// corpus (interned into a covering poset), builds the profile-tree
+// automaton over the poset's roots, applies the configured
 // selectivity measures — value measures V1–V3 and attribute measures A1–A3 —
 // and filters events while accounting operations.
 //
@@ -116,14 +117,6 @@ type Config struct {
 	// ProfileDists is P_p per schema attribute. Nil means the empirical
 	// profile distribution derived from the corpus itself.
 	ProfileDists []dist.Dist
-	// Aggregate enables canonical subscription aggregation (internal/agg):
-	// structurally identical profiles intern onto one canonical node,
-	// covered structures hang beneath their coverer in a poset, and the
-	// automaton indexes only the poset roots — concrete ids are expanded
-	// through the poset per match. Match cost then grows with distinct
-	// predicate structure, not subscriber count. Construction-time only:
-	// SetConfig cannot toggle it.
-	Aggregate bool
 }
 
 // Errors returned by the engine.
@@ -146,33 +139,52 @@ var (
 type snapshot struct {
 	tree  *tree.Tree
 	empty bool
-	// expand and t2n exist only under aggregation: expand is the frozen
-	// poset image matched ids are expanded through, and t2n maps each tree
-	// slot (dense index) to its poset node. t2n is append-only across
-	// successor snapshots — writes land past every predecessor's length —
-	// so snapshots share its backing array like the tree shares nodes.
-	expand *agg.Snapshot
+	// expand is the frozen poset image matched roots are expanded through,
+	// and t2n maps each tree slot (dense index) to its poset node. t2n is
+	// append-only across successor snapshots — writes land past every
+	// predecessor's length — so snapshots share its backing array like the
+	// tree shares nodes.
+	expand agg.Snapshot
 	t2n    []int32
 }
 
-// Engine is the distribution-based filter component. It is safe for
-// concurrent use: matches are lock-free against the current snapshot, while
-// profile churn, rebuilds and reconfiguration serialize on an internal
-// mutex and publish successor snapshots atomically (RCU-style). Subscribe
-// and unsubscribe therefore never contend with the publish hot path.
+// match runs one event through a built snapshot: the tree matches canonical
+// roots, and the expansion turns them into concrete subscription ids
+// (appended to dst), charging its descent evaluations to the event like
+// tree comparisons.
+//
+//genas:hotpath
+func (s *snapshot) match(vals []float64, dst []predicate.ID) ([]predicate.ID, int) {
+	matched, ops := s.tree.Match(vals)
+	ids, expOps := s.expand.Expand(vals, matched, s.t2n, s.tree, dst)
+	return ids, ops + expOps
+}
+
+// Engine is the distribution-based filter component. Subscriptions intern
+// into a covering poset (internal/agg): structurally equal profiles share
+// one canonical node, covered structures hang beneath their coverers, and
+// the automaton indexes only the poset roots, expanding each matched root
+// through the poset into concrete ids. Match cost therefore tracks distinct
+// predicate structure, not subscriber count.
+//
+// The engine is safe for concurrent use: matches are lock-free against the
+// current snapshot, while profile churn, rebuilds and reconfiguration
+// serialize on an internal mutex and publish successor snapshots atomically
+// (RCU-style). Subscribe and unsubscribe therefore never contend with the
+// publish hot path.
 type Engine struct {
 	snap    atomic.Pointer[snapshot]
 	mu      sync.Mutex // serializes writers: churn, rebuilds, config
 	schema  *schema.Schema
 	cfg     Config
-	byID    map[predicate.ID]int
-	dense   []*predicate.Profile
 	account stats.OpAccount
 
-	// treeIdx maps profile id to its dense index inside the published tree
-	// (tree indices are append-only between rebuilds, so they drift from
-	// e.dense, which swap-removes). Valid only while snap.tree != nil.
-	treeIdx map[predicate.ID]int
+	// agg owns the corpus: per-subscription state is one SubRef inside it.
+	agg *agg.Poset
+	// t2n is the write side of snapshot.t2n; nodeTree maps a poset node
+	// index back to its tree slot for demotions and detaches.
+	t2n      []int32
+	nodeTree map[int32]int
 	// edits counts incremental transforms since the last full rebuild; once
 	// it passes coalesceThreshold the next churn op rebuilds, restoring the
 	// canonical structure and clearing tombstones.
@@ -181,32 +193,20 @@ type Engine struct {
 	// incremental inserts (recomputing empirical measures per insert would
 	// rescan the corpus; drift between rebuilds is bounded by coalescing).
 	vo tree.ValueOrder
-
-	// Aggregation state (cfg.Aggregate): the covering poset replaces
-	// byID/dense entirely — per-subscription state collapses to one SubRef
-	// inside the poset. t2n is the write side of snapshot.t2n; nodeTree
-	// maps a poset node index back to its tree slot for demotions.
-	agg      *agg.Poset
-	t2n      []int32
-	nodeTree map[int32]int
 }
 
 // coalesceThreshold returns the edit budget before the next churn operation
 // pays a full rebuild: proportional to the corpus so large engines don't
 // rebuild constantly, floored so small ones don't rebuild on every edit.
 func (e *Engine) coalesceThreshold() int {
-	// Four edits per live profile before paying a full rebuild: successor
+	// Two edits per canonical node before paying a full rebuild: successor
 	// trees fragment slowly (each insert adds at most a few cuts per level)
-	// and tombstones only cost a bitmap test at translation, so rebuilding
-	// once per corpus-sized batch of edits trades a small match-path drift
-	// for keeping the rebuild entirely off the steady churn path. Under
-	// aggregation the automaton's size driver is the canonical node count,
-	// not the subscriber count, so the budget scales with that instead.
-	size := len(e.dense)
-	if e.agg != nil {
-		size = e.agg.NodeCount()
-	}
-	if n := 2 * size; n > 128 {
+	// and tombstones only cost a bitmap test at expansion, so rebuilding
+	// once per index-sized batch of edits trades a small match-path drift
+	// for keeping the rebuild entirely off the steady churn path. The
+	// automaton's size driver is the canonical node count, not the
+	// subscriber count, so the budget scales with that.
+	if n := 2 * e.agg.NodeCount(); n > 128 {
 		return n
 	}
 	return 128
@@ -226,11 +226,7 @@ func NewEngine(s *schema.Schema, cfg Config) *Engine {
 	e := &Engine{
 		schema: s,
 		cfg:    cfg,
-	}
-	if cfg.Aggregate {
-		e.agg = agg.NewPoset(s)
-	} else {
-		e.byID = make(map[predicate.ID]int)
+		agg:    agg.NewPoset(s),
 	}
 	e.snap.Store(&snapshot{empty: true})
 	return e
@@ -239,46 +235,17 @@ func NewEngine(s *schema.Schema, cfg Config) *Engine {
 // Schema returns the engine's schema.
 func (e *Engine) Schema() *schema.Schema { return e.schema }
 
-// AddProfile registers a profile. When an automaton is live the profile is
-// inserted incrementally (a successor snapshot sharing the untouched node
-// graph); otherwise the tree is built lazily on the next match.
+// AddProfile registers a profile: the subscription joins its canonical node
+// in the poset. When an automaton is live it changes only if a new structure
+// enters as a root (indexed incrementally, in a successor snapshot sharing
+// the untouched node graph) or demotes existing roots beneath it
+// (tombstoned — they stay reachable through the new root's expansion
+// edges); otherwise the tree is built lazily on the next match. Every churn
+// op republishes the frozen expansion image, so in-flight matches keep
+// expanding against the state they matched under.
 func (e *Engine) AddProfile(p *predicate.Profile) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.addAggLocked(p)
-	}
-	if _, dup := e.byID[p.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicateProfile, p.ID)
-	}
-	e.byID[p.ID] = len(e.dense)
-	e.dense = append(e.dense, p)
-	snap := e.snap.Load()
-	switch {
-	case snap.empty:
-		e.snap.Store(&snapshot{})
-	case snap.tree == nil:
-		// Already stale; the pending lazy build picks the profile up.
-	default:
-		e.edits++
-		if e.edits >= e.coalesceThreshold() {
-			e.coalesceLocked()
-			return nil
-		}
-		nt, ti := snap.tree.WithProfile(p, e.vo)
-		e.treeIdx[p.ID] = ti
-		e.snap.Store(&snapshot{tree: nt})
-	}
-	return nil
-}
-
-// addAggLocked is AddProfile's aggregation path: the subscription joins its
-// canonical node in the poset; the automaton changes only when a new
-// structure enters as a root (indexed) or demotes existing roots beneath it
-// (tombstoned — they stay reachable through the new root's expansion edges).
-// Every churn op republishes the frozen expansion image, so in-flight
-// matches keep expanding against the state they matched under.
-func (e *Engine) addAggLocked(p *predicate.Profile) error {
 	if e.agg.Has(p.ID) {
 		return fmt.Errorf("%w: %s", ErrDuplicateProfile, p.ID)
 	}
@@ -306,71 +273,40 @@ func (e *Engine) addAggLocked(p *predicate.Profile) error {
 			t = t.WithoutProfile(ti)
 		}
 		if res.NewRoot != nil {
-			var ti int
-			t, ti = t.WithProfile(res.NewRoot, e.vo)
-			if ti != len(e.t2n) {
-				e.snap.Store(&snapshot{}) // defensive: slot table out of step
+			var ok bool
+			if t, ok = e.indexRootLocked(t, res.NodeIdx, res.NewRoot); !ok {
 				return nil
 			}
-			e.t2n = append(e.t2n, res.NodeIdx)
-			e.nodeTree[res.NodeIdx] = ti
 		}
 		e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: e.t2n})
 	}
 	return nil
 }
 
-// RemoveProfile unregisters a profile by id. When an automaton is live the
-// profile is tombstoned in a successor snapshot (O(1)); tombstones are
-// compacted by the next coalescing rebuild.
+// indexRootLocked inserts a new poset root into t and records its slot. On
+// a slot table out of step with the tree it publishes a stale snapshot
+// (forcing a lazy rebuild) and reports false. Callers hold e.mu.
+func (e *Engine) indexRootLocked(t *tree.Tree, idx int32, rep *predicate.Profile) (*tree.Tree, bool) {
+	t, ti := t.WithProfile(rep, e.vo)
+	if ti != len(e.t2n) {
+		e.snap.Store(&snapshot{}) // defensive: slot table out of step
+		return nil, false
+	}
+	e.t2n = append(e.t2n, idx)
+	e.nodeTree[idx] = ti
+	return t, true
+}
+
+// RemoveProfile unregisters a profile by id. Dropping a member usually
+// leaves the automaton untouched (only the expansion image refreshes); when
+// a canonical node loses its last member it detaches eagerly — its tree
+// slot is tombstoned (O(1)) if it was a root, and formerly covered nodes
+// promoted by the detach are indexed, so a covered subscription resurfaces
+// the moment its last coverer leaves. Tombstones are compacted by the next
+// coalescing rebuild.
 func (e *Engine) RemoveProfile(id predicate.ID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.removeAggLocked(id)
-	}
-	i, ok := e.byID[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownProfile, id)
-	}
-	last := len(e.dense) - 1
-	e.dense[i] = e.dense[last]
-	e.dense = e.dense[:last]
-	delete(e.byID, id)
-	if i < last {
-		e.byID[e.dense[i].ID] = i
-	}
-	snap := e.snap.Load()
-	switch {
-	case len(e.dense) == 0:
-		e.storeEmptyLocked()
-	case snap.empty || snap.tree == nil:
-		// Nothing published or already stale; the next build reads e.dense.
-	default:
-		ti, ok := e.treeIdx[id]
-		if !ok {
-			// Defensive: unknown tree index, fall back to a lazy rebuild.
-			e.snap.Store(&snapshot{})
-			return nil
-		}
-		delete(e.treeIdx, id)
-		e.edits++
-		if e.edits >= e.coalesceThreshold() {
-			e.coalesceLocked()
-			return nil
-		}
-		e.snap.Store(&snapshot{tree: snap.tree.WithoutProfile(ti)})
-	}
-	return nil
-}
-
-// removeAggLocked is RemoveProfile's aggregation path. Dropping a member
-// usually leaves the automaton untouched (only the expansion image
-// refreshes); when a canonical node loses its last member it detaches
-// eagerly — its tree slot is tombstoned if it was a root, and formerly
-// covered nodes promoted by the detach are indexed, so a covered
-// subscription resurfaces the moment its last coverer leaves.
-func (e *Engine) removeAggLocked(id predicate.ID) error {
 	res, ok := e.agg.Remove(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownProfile, id)
@@ -398,14 +334,10 @@ func (e *Engine) removeAggLocked(id predicate.ID) error {
 			t = t.WithoutProfile(ti)
 		}
 		for _, pr := range res.Promoted {
-			var ti int
-			t, ti = t.WithProfile(pr.Rep, e.vo)
-			if ti != len(e.t2n) {
-				e.snap.Store(&snapshot{}) // defensive: slot table out of step
+			var ok bool
+			if t, ok = e.indexRootLocked(t, pr.Idx, pr.Rep); !ok {
 				return nil
 			}
-			e.t2n = append(e.t2n, pr.Idx)
-			e.nodeTree[pr.Idx] = ti
 		}
 		e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: e.t2n})
 	}
@@ -425,42 +357,31 @@ func (e *Engine) coalesceLocked() {
 
 func (e *Engine) storeEmptyLocked() {
 	e.snap.Store(&snapshot{empty: true})
-	e.treeIdx = nil
 	e.edits = 0
 	e.t2n = nil
 	e.nodeTree = nil
-	if e.agg != nil && e.agg.SubCount() == 0 {
-		// Going empty is the natural point to drop the holes and edge
-		// fragments churn left behind.
-		e.agg = agg.NewPoset(e.schema)
-	}
+	// Going empty is the natural point to drop the holes and edge fragments
+	// churn left behind.
+	e.agg = agg.NewPoset(e.schema)
 }
 
 // ProfileCount returns the number of registered profiles (concrete
-// subscriptions, not canonical nodes, under aggregation).
+// subscriptions, not canonical nodes).
 func (e *Engine) ProfileCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.agg.SubCount()
-	}
-	return len(e.dense)
+	return e.agg.SubCount()
 }
 
-// Profiles returns a copy of the registered profiles. Under aggregation the
-// originals are not retained — that is the memory win — so each entry is
-// synthesized from its canonical node: the id and priority are the
-// subscriber's, the predicate column is the node's representative (an
-// equivalent constraint, possibly spelled differently than the original).
+// Profiles returns the registered profiles. The originals are not retained
+// — that is the memory win of interning — so each entry is synthesized from
+// its canonical node: the id and priority are the subscriber's, the
+// predicate column is the node's representative (an equivalent constraint,
+// possibly spelled differently than the original).
 func (e *Engine) Profiles() []*predicate.Profile {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.agg.Profiles()
-	}
-	out := make([]*predicate.Profile, len(e.dense))
-	copy(out, e.dense)
-	return out
+	return e.agg.Profiles()
 }
 
 // eventDists returns P_e, defaulting to uniform per attribute.
@@ -475,23 +396,13 @@ func (e *Engine) eventDists() []dist.Dist {
 	return ds
 }
 
-// corpusLocked returns the profile set the automaton indexes and the
-// selectivity measures rank over: the dense corpus, or the poset's
-// canonical roots under aggregation. Callers hold e.mu.
-func (e *Engine) corpusLocked() []*predicate.Profile {
-	if e.agg == nil {
-		return e.dense
-	}
-	roots := e.agg.RootList()
-	out := make([]*predicate.Profile, len(roots))
-	for i, r := range roots {
-		out[i] = r.Rep
-	}
-	return out
-}
-
-// valueOrder materializes the configured value measure over corpus.
-func (e *Engine) valueOrder(corpus []*predicate.Profile) tree.ValueOrder {
+// valueOrderLocked materializes the configured value measure. The
+// empirical profile measures rank over every concrete subscription — its
+// canonical predicates and its own priority — not over the roots the tree
+// indexes: duplicates and covered subscribers carry demand (and priority)
+// of their own, which is what the user-centric goal weighs. Callers hold
+// e.mu.
+func (e *Engine) valueOrderLocked() tree.ValueOrder {
 	ed := e.eventDists()
 	pd := e.cfg.ProfileDists
 	switch e.cfg.ValueMeasure {
@@ -503,18 +414,18 @@ func (e *Engine) valueOrder(corpus []*predicate.Profile) tree.ValueOrder {
 		return selectivity.V1(ed, false)
 	case ValueProfile:
 		if pd == nil {
-			return selectivity.V2Empirical(e.schema, corpus, true)
+			return selectivity.V2Empirical(e.schema, e.agg.Profiles(), true)
 		}
 		return selectivity.V2(pd, true)
 	case ValueProfileAsc:
 		if pd == nil {
-			return selectivity.V2Empirical(e.schema, corpus, false)
+			return selectivity.V2Empirical(e.schema, e.agg.Profiles(), false)
 		}
 		return selectivity.V2(pd, false)
 	case ValueCombined, ValueCombinedAsc:
 		desc := e.cfg.ValueMeasure == ValueCombined
 		if pd == nil {
-			emp := selectivity.V2Empirical(e.schema, corpus, desc)
+			emp := selectivity.V2Empirical(e.schema, e.agg.Profiles(), desc)
 			v1 := selectivity.V1(ed, desc)
 			return tree.ValueOrder{
 				Name:       "event*profile-emp",
@@ -530,18 +441,20 @@ func (e *Engine) valueOrder(corpus []*predicate.Profile) tree.ValueOrder {
 	}
 }
 
-// attrOrder computes the configured attribute order over corpus.
-func (e *Engine) attrOrder(corpus []*predicate.Profile) ([]int, error) {
+// attrOrderLocked computes the configured attribute order. A1/A2 read the
+// unreferenced subdomain d₀, which covered and duplicate subscriptions
+// cannot change (their regions lie inside a root's), so they run over the
+// roots; A3 costs candidate trees, which index roots. Callers hold e.mu.
+func (e *Engine) attrOrderLocked(roots []*predicate.Profile, vo tree.ValueOrder) ([]int, error) {
 	switch e.cfg.AttrOrdering {
 	case AttrA1, AttrA1Asc:
-		st := selectivity.AttributeStats(e.schema, corpus, nil)
+		st := selectivity.AttributeStats(e.schema, roots, nil)
 		return selectivity.OrderAttributes(st, selectivity.MeasureA1, e.cfg.AttrOrdering == AttrA1), nil
 	case AttrA2, AttrA2Asc:
-		st := selectivity.AttributeStats(e.schema, corpus, e.eventDists())
+		st := selectivity.AttributeStats(e.schema, roots, e.eventDists())
 		return selectivity.OrderAttributes(st, selectivity.MeasureA2, e.cfg.AttrOrdering == AttrA2), nil
 	case AttrA3:
-		order, _, err := selectivity.OrderAttributesA3(
-			e.schema, corpus, e.eventDists(), e.valueOrder(corpus), e.cfg.Search)
+		order, _, err := selectivity.OrderAttributesA3(e.schema, roots, e.eventDists(), vo, e.cfg.Search)
 		return order, err
 	default:
 		order := make([]int, e.schema.N())
@@ -560,47 +473,10 @@ func (e *Engine) Rebuild() error {
 	return e.rebuildLocked()
 }
 
-// rebuildLocked builds a fresh automaton from the current corpus and
-// publishes it. Callers hold e.mu.
+// rebuildLocked compacts the poset (clearing churn holes and redundant
+// edges), builds a fresh automaton over the canonical roots only, derives
+// the slot↔node tables fresh, and publishes the result. Callers hold e.mu.
 func (e *Engine) rebuildLocked() error {
-	if e.agg != nil {
-		return e.rebuildAggLocked()
-	}
-	if len(e.dense) == 0 {
-		e.storeEmptyLocked()
-		return ErrNoProfiles
-	}
-	order, err := e.attrOrder(e.dense)
-	if err != nil {
-		return err
-	}
-	// The automaton keeps its own copy of the corpus: RemoveProfile mutates
-	// e.dense in place, and in-flight matches must keep translating dense
-	// indices against the snapshot that produced them.
-	corpus := make([]*predicate.Profile, len(e.dense))
-	copy(corpus, e.dense)
-	t, err := tree.Build(e.schema, corpus,
-		tree.WithAttributeOrder(order), tree.WithSearch(e.cfg.Search))
-	if err != nil {
-		return err
-	}
-	vo := e.valueOrder(corpus)
-	// The tree is not published yet, so the in-place ordering pass is safe.
-	t.ApplyValueOrder(vo)
-	e.vo = vo
-	e.treeIdx = make(map[predicate.ID]int, len(corpus))
-	for i, p := range corpus {
-		e.treeIdx[p.ID] = i
-	}
-	e.edits = 0
-	e.snap.Store(&snapshot{tree: t})
-	return nil
-}
-
-// rebuildAggLocked is rebuildLocked under aggregation: the poset compacts
-// (clearing churn holes and redundant edges), the automaton is rebuilt over
-// the canonical roots only, and the slot↔node tables are derived fresh.
-func (e *Engine) rebuildAggLocked() error {
 	if e.agg.SubCount() == 0 {
 		e.storeEmptyLocked()
 		return ErrNoProfiles
@@ -615,7 +491,8 @@ func (e *Engine) rebuildAggLocked() error {
 		t2n[i] = r.Idx
 		nodeTree[r.Idx] = i
 	}
-	order, err := e.attrOrder(corpus)
+	vo := e.valueOrderLocked()
+	order, err := e.attrOrderLocked(corpus, vo)
 	if err != nil {
 		return err
 	}
@@ -624,7 +501,6 @@ func (e *Engine) rebuildAggLocked() error {
 	if err != nil {
 		return err
 	}
-	vo := e.valueOrder(corpus)
 	// The tree is not published yet, so the in-place ordering pass is safe.
 	t.ApplyValueOrder(vo)
 	e.vo = vo
@@ -646,7 +522,7 @@ func (e *Engine) Reorder() error {
 	if snap.empty || snap.tree == nil {
 		return e.rebuildLocked()
 	}
-	vo := e.valueOrder(e.corpusLocked())
+	vo := e.valueOrderLocked()
 	e.vo = vo
 	e.snap.Store(&snapshot{tree: snap.tree.Reordered(vo), expand: snap.expand, t2n: snap.t2n})
 	return nil
@@ -681,10 +557,6 @@ func (e *Engine) SetConfig(cfg Config) {
 	if cfg.Search == 0 {
 		cfg.Search = e.cfg.Search
 	}
-	// Aggregation is a construction-time layout decision (the poset either
-	// holds the corpus or the dense slice does); a zero-value cfg must not
-	// silently discard it.
-	cfg.Aggregate = e.cfg.Aggregate
 	e.cfg = cfg
 	if snap := e.snap.Load(); !snap.empty {
 		e.snap.Store(&snapshot{})
@@ -694,8 +566,8 @@ func (e *Engine) SetConfig(cfg Config) {
 // lazySnapshot resolves a stale snapshot: it (re)builds the automaton under
 // the writer mutex, unless a concurrent writer already did, and returns the
 // resulting built or empty snapshot (never a stale one). Matching needs the
-// whole snapshot, not just the tree: under aggregation the expansion image
-// and slot table published alongside it must come from the same build.
+// whole snapshot, not just the tree: the expansion image and slot table
+// published alongside it must come from the same build.
 func (e *Engine) lazySnapshot() (*snapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -710,9 +582,10 @@ func (e *Engine) lazySnapshot() (*snapshot, error) {
 }
 
 // Match filters one event, returning matched profile IDs and the operations
-// spent. The traversal is lock-free: it runs against the current immutable
-// snapshot, so concurrent profile churn cannot block or skew it. IDs are
-// resolved against the same snapshot that produced the match.
+// spent (tree comparisons plus expansion evaluations). The traversal is
+// lock-free: it runs against the current immutable snapshot, so concurrent
+// profile churn cannot block or skew it. IDs are resolved against the same
+// snapshot that produced the match.
 //
 //genas:hotpath
 func (e *Engine) Match(vals []float64) ([]predicate.ID, int, error) {
@@ -745,78 +618,15 @@ func (e *Engine) matchIDs(vals []float64, dst []predicate.ID) (ids []predicate.I
 			return dst, 0, true, nil
 		}
 	}
-	t := snap.tree
-	matched, matchOps := t.Match(vals)
-	ids = dst
-	if ids == nil {
-		ids = make([]predicate.ID, 0, len(matched))
-	}
-	if snap.expand != nil {
-		// Aggregated: the tree matched canonical roots; expand them through
-		// the poset image into concrete subscription ids, charging the
-		// descent evaluations to the event like tree comparisons.
-		var expOps int
-		ids, expOps = snap.expand.Expand(vals, matched, snap.t2n, t, ids)
-		return ids, matchOps + expOps, false, nil
-	}
-	profiles := t.Profiles()
-	if t.HasDead() {
-		for _, pi := range matched {
-			if t.Dead(pi) {
-				continue
-			}
-			ids = append(ids, profiles[pi].ID)
-		}
-	} else {
-		for _, pi := range matched {
-			ids = append(ids, profiles[pi].ID)
-		}
-	}
-	return ids, matchOps, false, nil
+	ids, ops = snap.match(vals, dst)
+	return ids, ops, false, nil
 }
 
-// MatchDense is Match returning dense indices into the tree snapshot (hot
-// path; avoids the ID materialization). The indices are only meaningful
-// against the Profiles() of the snapshot that produced them — under churn,
-// Tree() may already point at a successor — so callers needing identity
-// should use Match. Under aggregation the indices denote canonical nodes,
-// not subscriptions; use Match for concrete ids.
-//
-//genas:hotpath
-func (e *Engine) MatchDense(vals []float64) ([]int, int, error) {
-	snap := e.snap.Load()
-	if snap.empty {
-		return nil, 0, nil // an empty filter matches nothing
-	}
-	if snap.tree == nil {
-		var err error
-		snap, err = e.lazySnapshot()
-		if err != nil {
-			return nil, 0, err
-		}
-		if snap.empty {
-			return nil, 0, nil
-		}
-	}
-	t := snap.tree
-	matched, ops := t.Match(vals)
-	if t.HasDead() {
-		live := make([]int, 0, len(matched))
-		for _, pi := range matched {
-			if !t.Dead(pi) {
-				live = append(live, pi)
-			}
-		}
-		matched = live
-	}
-	e.account.Record(ops, len(matched))
-	return matched, ops, nil
-}
-
-// Tree exposes the current automaton (nil until first built). A stale
-// snapshot (pending lazy rebuild) is resolved first, so the returned tree
-// reflects the current corpus and configuration; it may be superseded by
-// the time the caller inspects it.
+// Tree exposes the current automaton (nil until first built). Its profiles
+// are the poset roots' canonical representatives, whose ids are synthetic.
+// A stale snapshot (pending lazy rebuild) is resolved first, so the
+// returned tree reflects the current corpus and configuration; it may be
+// superseded by the time the caller inspects it.
 func (e *Engine) Tree() *tree.Tree {
 	snap := e.snap.Load()
 	if snap.empty {
@@ -833,8 +643,9 @@ func (e *Engine) Tree() *tree.Tree {
 }
 
 // Analyze runs the analytic cost model (Eq. 2) under the engine's event
-// distributions. The model is defined over the live corpus, so a tombstoned
-// or stale automaton is coalesced first.
+// distributions. The model is defined over the live index, so a tombstoned
+// or stale automaton is coalesced first; its per-profile costs align with
+// Tree().Profiles(), one entry per poset root.
 func (e *Engine) Analyze() (selectivity.Analysis, error) {
 	e.mu.Lock()
 	snap := e.snap.Load()
@@ -855,11 +666,8 @@ func (e *Engine) Analyze() (selectivity.Analysis, error) {
 	return selectivity.Analyze(t, ed), nil
 }
 
-// AggStats summarizes the aggregation layer's shape. Enabled is false on an
-// unaggregated filter, where the other fields are zero.
+// AggStats summarizes the canonical index's shape.
 type AggStats struct {
-	// Enabled reports whether canonical aggregation is active.
-	Enabled bool
 	// Subscriptions is the concrete subscription count.
 	Subscriptions int
 	// Nodes is the canonical node count — the real index size driver.
@@ -872,7 +680,7 @@ type AggStats struct {
 }
 
 // Ratio returns profiles-per-canonical-node — the aggregation compression
-// factor (0 when empty or disabled).
+// factor (0 when empty).
 func (s AggStats) Ratio() float64 {
 	if s.Nodes == 0 {
 		return 0
@@ -880,16 +688,12 @@ func (s AggStats) Ratio() float64 {
 	return float64(s.Subscriptions) / float64(s.Nodes)
 }
 
-// AggStats reports the aggregation layer's shape.
+// AggStats reports the canonical index's shape.
 func (e *Engine) AggStats() AggStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg == nil {
-		return AggStats{}
-	}
 	st := e.agg.Stats()
 	return AggStats{
-		Enabled:       true,
 		Subscriptions: st.Subscriptions,
 		Nodes:         st.Nodes,
 		Roots:         st.Roots,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
+	"genas/internal/selectivity"
 	"genas/internal/tree"
 )
 
@@ -27,7 +29,7 @@ func TestEngineLifecycle(t *testing.T) {
 	s := testSchema(t)
 	e := NewEngine(s, Config{})
 
-	if m, ops, err := e.MatchDense([]float64{1, 2}); err != nil || m != nil || ops != 0 {
+	if m, ops, err := e.Match([]float64{1, 2}); err != nil || m != nil || ops != 0 {
 		t.Fatalf("empty engine must match nothing: %v %d %v", m, ops, err)
 	}
 	if err := e.Rebuild(); !errors.Is(err, ErrNoProfiles) {
@@ -80,7 +82,7 @@ func TestEngineAccount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, _, err := e.MatchDense([]float64{float64(i), 0}); err != nil {
+		if _, _, err := e.Match([]float64{float64(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +223,7 @@ func TestEngineConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				_, _, err := e.MatchDense([]float64{float64(rng.Intn(100)), float64(rng.Intn(100))})
+				_, _, err := e.Match([]float64{float64(rng.Intn(100)), float64(rng.Intn(100))})
 				if err != nil && !errors.Is(err, ErrNoProfiles) {
 					t.Errorf("match: %v", err)
 					return
@@ -318,5 +320,57 @@ func TestMatchBatch(t *testing.T) {
 	out, err := empty.MatchBatch(events[:3], 2)
 	if err != nil || len(out) != 3 || out[0].IDs != nil {
 		t.Errorf("empty engine batch: %v %v", out, err)
+	}
+}
+
+// TestEmpiricalMeasuresCountEverySubscription: the empirical profile measure
+// (V2 without a configured P_p) ranks over every concrete subscription with
+// its own priority, even though the tree indexes only the poset roots.
+// Duplicates and covered subscriptions drop out of the index but not out of
+// the demand the measure weighs.
+func TestEmpiricalMeasuresCountEverySubscription(t *testing.T) {
+	s := testSchema(t)
+	corpus := []struct {
+		id, expr string
+		priority float64
+	}{
+		{"a1", "profile(x in [10,20])", 5},
+		{"a2", "profile(x in [10,20])", 1},        // duplicate of a1
+		{"a3", "profile(x in [12,15]; y = 3)", 9}, // covered by a1/a2
+		{"b1", "profile(x in [50,90])", 0},
+		{"b2", "profile(x in [60,70])", 2}, // covered by b1
+		{"b3", "profile(x in [60,70])", 4}, // duplicate of b2
+	}
+	for _, m := range []ValueMeasure{ValueProfile, ValueProfileAsc} {
+		e := NewEngine(s, Config{ValueMeasure: m})
+		var concrete []*predicate.Profile
+		for _, c := range corpus {
+			p := predicate.MustParse(s, predicate.ID(c.id), c.expr)
+			p.Priority = c.priority
+			if err := e.AddProfile(p); err != nil {
+				t.Fatal(err)
+			}
+			concrete = append(concrete, p)
+		}
+		if err := e.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.AggStats(); st.Roots != 2 || st.Subscriptions != len(corpus) {
+			t.Fatalf("%v: index shape %+v, want 2 roots over %d subscriptions", m, st, len(corpus))
+		}
+		want := selectivity.V2Empirical(s, concrete, m == ValueProfile)
+		iv := func(lo, hi float64) []tree.Interval { return []tree.Interval{{Lo: lo, Hi: hi}} }
+		for _, r := range []struct {
+			attr   int
+			region []tree.Interval
+		}{
+			{0, iv(10, 20)}, {0, iv(12, 15)}, {0, iv(16, 20)}, {0, iv(50, 59)},
+			{0, iv(60, 70)}, {0, iv(0, 5)}, {1, iv(3, 3)}, {1, iv(0, 2)},
+		} {
+			if got, w := e.vo.Rank(r.attr, r.region), want.Rank(r.attr, r.region); math.Abs(got-w) > 1e-12 {
+				t.Errorf("%v: rank(attr %d, %v) = %v, want %v over the concrete subscriptions",
+					m, r.attr, r.region, got, w)
+			}
+		}
 	}
 }

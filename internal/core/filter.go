@@ -40,8 +40,7 @@ type Filter interface {
 	SetConfig(cfg Config)
 	// SetEventDists replaces P_e (the adaptive component's entry point).
 	SetEventDists(ds []dist.Dist)
-	// AggStats reports the canonical-aggregation layer's shape (Enabled is
-	// false, with zero counters, on an unaggregated filter).
+	// AggStats reports the canonical index's shape.
 	AggStats() AggStats
 	// Account returns the live operation accounting summary.
 	Account() stats.Summary

@@ -319,8 +319,9 @@ func TestShardedAnalyze(t *testing.T) {
 	if a.MatchProb <= 0 || a.MatchProb > 1 {
 		t.Errorf("MatchProb = %v", a.MatchProb)
 	}
-	if len(a.PerProfile) != sharded.ProfileCount() {
-		t.Errorf("PerProfile = %d entries for %d profiles", len(a.PerProfile), sharded.ProfileCount())
+	// The cost model describes the automaton, which indexes poset roots.
+	if roots := sharded.AggStats().Roots; len(a.PerProfile) != roots {
+		t.Errorf("PerProfile = %d entries for %d roots", len(a.PerProfile), roots)
 	}
 	if len(a.PerLevelOps) != s.N() {
 		t.Errorf("PerLevelOps = %d entries for %d attributes", len(a.PerLevelOps), s.N())

@@ -53,8 +53,9 @@ type Options struct {
 	// Node is this daemon's name in the overlay (required, unique among
 	// neighbors).
 	Node string
-	// Covering enables covering-based pruning of each link's filter engine
-	// (on by default in genasd; equivalent routes keep the smallest id).
+	// Covering has no effect.
+	//
+	// Deprecated: ignored; link filters always prune covered routes.
 	Covering bool
 	// DialTimeout bounds one connect+handshake attempt (default 5s).
 	DialTimeout time.Duration
@@ -156,12 +157,11 @@ func New(brk *broker.Broker, opts Options) (*Fed, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	// Link engines inherit the broker's measure configuration. With Covering
-	// they additionally run in aggregated mode: each route add/withdraw is an
-	// incremental covering-poset mutation, and only uncovered (root) routes
-	// are indexed for forwarding — no per-announcement rescans.
+	// Link engines inherit the broker's measure configuration. Each route
+	// add/withdraw is an incremental covering-poset mutation, and only
+	// uncovered (root) routes are indexed for forwarding — no
+	// per-announcement rescans.
 	engineCfg := brk.Engine().Config()
-	engineCfg.Aggregate = opts.Covering
 	maxProto := wire.ProtoV2
 	if opts.Proto == wire.ProtoV1 {
 		maxProto = wire.ProtoV1
@@ -604,8 +604,8 @@ func (f *Fed) addRoute(l *peerLink, p *predicate.Profile) {
 }
 
 // installRouteLocked updates the link engine for a new or changed route —
-// one incremental engine mutation either way. Under covering the engine's
-// aggregation poset places the route against the link's root antichain
+// one incremental engine mutation either way. The engine's covering poset
+// places the route against the link's root antichain
 // itself (demoting routes the newcomer absorbs, riding under a broader
 // route when covered), so replaying n routes costs n poset insertions, not
 // the rescans of the rebuild era. Caller holds f.mu.
@@ -633,8 +633,8 @@ func (f *Fed) removeRoute(l *peerLink, id predicate.ID) {
 		return
 	}
 	delete(l.routes, id)
-	// One incremental removal; under covering the poset re-arms routes the
-	// withdrawn one covered (its kids re-link upward or promote to roots).
+	// One incremental removal; the poset re-arms routes the withdrawn one
+	// covered (its kids re-link upward or promote to roots).
 	if err := l.engine.RemoveProfile(id); err != nil {
 		f.log.Printf("federation: link %s withdraw %s: %v", l.name, id, err)
 	}
@@ -894,9 +894,8 @@ func (f *Fed) ProtoV2Peers() int {
 }
 
 // RouteCount returns the number of uncovered routes on the link to the named
-// peer (0 when the link is down) — the wire twin of Node.RouteCount. With
-// covering that is the link poset's root count: covered routes stay
-// registered but uncounted, matching the pruned tables of the rescan era.
+// peer (0 when the link is down) — the wire twin of Node.RouteCount: the
+// link poset's root count. Covered routes stay registered but uncounted.
 func (f *Fed) RouteCount(peer string) int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -904,10 +903,7 @@ func (f *Fed) RouteCount(peer string) int {
 	if !ok {
 		return 0
 	}
-	if st := l.engine.AggStats(); st.Enabled {
-		return st.Roots
-	}
-	return l.engine.ProfileCount()
+	return l.engine.AggStats().Roots
 }
 
 // Peers lists the names of the live peer links.

@@ -46,7 +46,6 @@ func startDaemon(t *testing.T, node, spec string, peers ...string) *daemon {
 	}
 	fed, err := federation.New(brk, federation.Options{
 		Node:     node,
-		Covering: true,
 		RetryMin: 20 * time.Millisecond,
 		RetryMax: 200 * time.Millisecond,
 	})
@@ -87,7 +86,7 @@ func startDaemon(t *testing.T, node, spec string, peers ...string) *daemon {
 
 func dial(t *testing.T, addr string) *wire.Client {
 	t.Helper()
-	c, err := wire.Dial(addr, rpcTimeout)
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestReconnectReplaysRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fed, err := federation.New(brk, federation.Options{Node: "A", Covering: true})
+		fed, err := federation.New(brk, federation.Options{Node: "A"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,8 +598,7 @@ func TestLargeRouteReplay(t *testing.T) {
 	}
 	a := startDaemon(t, "A", testSpec)
 
-	// B carries a big local subscription set before it ever dials A
-	// (covering off so nothing prunes).
+	// B carries a big local subscription set before it ever dials A.
 	brkB, err := broker.New(sch, broker.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -608,7 +606,7 @@ func TestLargeRouteReplay(t *testing.T) {
 	t.Cleanup(brkB.Close)
 	for i := 0; i < routes; i++ {
 		// Disjoint humidity slivers: no profile covers another, so every
-		// route must survive at A even with covering enabled there.
+		// route must survive at A's covering link filter.
 		lo := float64(i) * 0.06
 		p := predicate.MustParse(sch, predicate.ID(fmt.Sprintf("r%d", i)),
 			fmt.Sprintf("profile(humidity in [%g,%g])", lo, lo+0.05))
@@ -616,7 +614,7 @@ func TestLargeRouteReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fedB, err := federation.New(brkB, federation.Options{Node: "B", Covering: false})
+	fedB, err := federation.New(brkB, federation.Options{Node: "B"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ type Counters struct {
 
 // OpenDriver constructs the scenario's driver over the plan's schema.
 func OpenDriver(sc Scenario, sch *schema.Schema) (Driver, error) {
-	cfg := core.Config{Aggregate: sc.Aggregate}
+	var cfg core.Config
 	switch sc.Driver {
 	case "", "engine":
 		return &filterDriver{name: "engine", f: core.NewEngine(sch, cfg)}, nil
@@ -116,9 +116,6 @@ func newServiceDriver(sc Scenario, sch *schema.Schema) (*serviceDriver, error) {
 	if sc.Adaptive {
 		opts = append(opts, genas.WithAdaptive())
 	}
-	if sc.Aggregate {
-		opts = append(opts, genas.WithAggregation())
-	}
 	svc, err := genas.NewService(sch, opts...)
 	if err != nil {
 		return nil, err
@@ -179,7 +176,6 @@ func (d *serviceDriver) Close() error {
 func (d *serviceDriver) AggStats() core.AggStats {
 	st := d.svc.Stats()
 	return core.AggStats{
-		Enabled:       st.Aggregated,
 		Subscriptions: st.Subscriptions,
 		Nodes:         st.CanonicalNodes,
 		Roots:         st.CanonicalRoots,

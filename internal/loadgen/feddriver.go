@@ -85,7 +85,7 @@ func (d *fedDriver) bootNode(name string) (*fedNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	fed, err := federation.New(brk, federation.Options{Node: name, Covering: true, Proto: d.proto})
+	fed, err := federation.New(brk, federation.Options{Node: name, Proto: d.proto})
 	if err != nil {
 		brk.Close()
 		return nil, err

@@ -80,9 +80,6 @@ type Scenario struct {
 	// the many-subscribers-few-shapes population canonical aggregation
 	// exists for.
 	Clusters *ClusterSpec `json:"clusters,omitempty"`
-	// Aggregate enables canonical subscription aggregation on the engine,
-	// sharded and service drivers.
-	Aggregate bool `json:"aggregate,omitempty"`
 	// Correlated, when set, samples whole event vectors from a weighted
 	// mixture of per-attribute product components — the standard
 	// counterexample to the independence assumption.

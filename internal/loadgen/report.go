@@ -148,10 +148,10 @@ var AllocCaps = map[string]float64{
 // BytesPerSubCaps lists absolute ceilings on resident heap bytes per
 // registered subscription, by scenario name. The aggregated-mega ceiling
 // pins canonical aggregation's memory win: at smoke scale the clustered
-// population measures ~4.5 KiB/subscription (the un-aggregated automaton
-// costs ~50x that, when it can be built at all), so the 8 KiB ceiling
-// leaves noise headroom while still catching a collapse back to
-// per-profile indexing.
+// population measures ~4.5 KiB/subscription (an automaton indexing every
+// subscription cost ~50x that, when it could be built at all), so the
+// 8 KiB ceiling leaves noise headroom while still catching a collapse back
+// to per-profile indexing.
 var BytesPerSubCaps = map[string]float64{
 	"aggregated-mega": 8192,
 }

@@ -27,7 +27,7 @@ type Workload struct {
 	// drivers only).
 	Counters Counters `json:"counters"`
 	// CanonicalNodes/CanonicalRoots/PosetDepth describe the driver's
-	// canonical-aggregation layer after the run (aggregated drivers only).
+	// canonical index after the run (in-process drivers only).
 	// Like the match totals they are a pure function of the plan.
 	CanonicalNodes int `json:"canonical_nodes,omitempty"`
 	CanonicalRoots int `json:"canonical_roots,omitempty"`
@@ -221,11 +221,10 @@ func runPlan(plan *Plan, drv Driver) (*Result, error) {
 		},
 	}
 	if a, ok := drv.(aggStater); ok {
-		if st := a.AggStats(); st.Enabled {
-			res.Workload.CanonicalNodes = st.Nodes
-			res.Workload.CanonicalRoots = st.Roots
-			res.Workload.PosetDepth = st.MaxDepth
-		}
+		st := a.AggStats()
+		res.Workload.CanonicalNodes = st.Nodes
+		res.Workload.CanonicalRoots = st.Roots
+		res.Workload.PosetDepth = st.MaxDepth
 	}
 	return res, nil
 }

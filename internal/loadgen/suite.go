@@ -124,8 +124,7 @@ var scenarios = map[string]Scenario{
 
 	// aggregated-mega: canonical aggregation's home turf — 10⁵ subscriptions
 	// drawn from 10³ Zipf-ranked structural templates (a quarter of them
-	// narrowed refinements), filtered with aggregation on. The automaton
-	// indexes only the poset's uncovered roots, so the canonical index stays
+	// narrowed refinements). The automaton indexes only the poset's uncovered roots, so the canonical index stays
 	// thousands of times smaller than the subscription count, match cost
 	// tracks the distinct-structure population, and bytes/subscription is
 	// gated absolutely (BytesPerSubCaps).
@@ -138,7 +137,6 @@ var scenarios = map[string]Scenario{
 		Profiles:    100000,
 		Clusters:    &ClusterSpec{Distinct: 1000, S: 1.1, RefineP: 0.25, Variants: 3},
 		EventShapes: map[string]string{"temperature": "d14", "humidity": "d4"},
-		Aggregate:   true,
 	},
 
 	// federated-3hop: a four-daemon chain over real TCP links; events enter

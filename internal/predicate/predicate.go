@@ -120,36 +120,39 @@ func NewAny(attr int) Predicate { return Predicate{Attr: attr, Op: OpAny} }
 // Intervals canonicalizes the predicate into a union of disjoint intervals
 // clipped to the attribute domain dom. OpAny returns the whole domain.
 func (p Predicate) Intervals(dom schema.Domain) []schema.Interval {
+	return p.AppendIntervals(make([]schema.Interval, 0, max(2, len(p.Set))), dom)
+}
+
+// AppendIntervals appends the result of Intervals to dst.
+func (p Predicate) AppendIntervals(dst []schema.Interval, dom schema.Domain) []schema.Interval {
 	clip := dom.Interval()
-	var raw []schema.Interval
+	start := len(dst)
 	switch p.Op {
 	case OpEq:
-		raw = []schema.Interval{schema.Point(p.Value)}
+		dst = append(dst, schema.Point(p.Value))
 	case OpNe:
-		raw = []schema.Interval{
-			{Lo: clip.Lo, Hi: p.Value, HiOpen: true},
-			{Lo: p.Value, Hi: clip.Hi, LoOpen: true},
-		}
+		dst = append(dst,
+			schema.Interval{Lo: clip.Lo, Hi: p.Value, HiOpen: true},
+			schema.Interval{Lo: p.Value, Hi: clip.Hi, LoOpen: true})
 	case OpLt:
-		raw = []schema.Interval{{Lo: clip.Lo, Hi: p.Value, HiOpen: true}}
+		dst = append(dst, schema.Interval{Lo: clip.Lo, Hi: p.Value, HiOpen: true})
 	case OpLe:
-		raw = []schema.Interval{{Lo: clip.Lo, Hi: p.Value}}
+		dst = append(dst, schema.Interval{Lo: clip.Lo, Hi: p.Value})
 	case OpGt:
-		raw = []schema.Interval{{Lo: p.Value, Hi: clip.Hi, LoOpen: true}}
+		dst = append(dst, schema.Interval{Lo: p.Value, Hi: clip.Hi, LoOpen: true})
 	case OpGe:
-		raw = []schema.Interval{{Lo: p.Value, Hi: clip.Hi}}
+		dst = append(dst, schema.Interval{Lo: p.Value, Hi: clip.Hi})
 	case OpRange:
-		raw = []schema.Interval{{Lo: p.Value, Hi: p.Hi}}
+		dst = append(dst, schema.Interval{Lo: p.Value, Hi: p.Hi})
 	case OpIn:
-		raw = make([]schema.Interval, 0, len(p.Set))
 		for _, v := range p.Set {
-			raw = append(raw, schema.Point(v))
+			dst = append(dst, schema.Point(v))
 		}
 	case OpAny:
-		raw = []schema.Interval{clip}
+		dst = append(dst, clip)
 	}
-	out := raw[:0]
-	for _, iv := range raw {
+	out := dst[:start]
+	for _, iv := range dst[start:] {
 		c := iv.Intersect(clip)
 		if !c.Empty() {
 			out = append(out, c)

@@ -164,10 +164,10 @@ func benchProfiles(b *testing.B, s *schema.Schema, n int) []*predicate.Profile {
 }
 
 // BenchmarkRouteInstall measures the cost of installing one more route on a
-// link already carrying n routes, covering enabled.
+// link already carrying n routes.
 //
 //   - poset: the current path — one incremental AddProfile into the link's
-//     aggregated engine; the covering poset places the new route against the
+//     engine; the covering poset places the new route against the
 //     root antichain.
 //   - rescan: the pre-poset path — rebuild the link engine from scratch,
 //     running the O(n) CoveredByOther scan for every route: O(n²) covering
@@ -187,7 +187,7 @@ func BenchmarkRouteInstall(b *testing.B) {
 		extra := predicate.MustParse(s, "extra", "profile(price in [500,501]; volume = 7)")
 
 		b.Run(fmt.Sprintf("poset/routes=%d", n), func(b *testing.B) {
-			eng := core.NewEngine(s, core.Config{Aggregate: true})
+			eng := core.NewEngine(s, core.Config{})
 			for _, p := range profiles {
 				if err := eng.AddProfile(p); err != nil {
 					b.Fatal(err)

@@ -103,7 +103,7 @@ func TestDeliverSurvivesPoisonedLink(t *testing.T) {
 // keep flowing end to end.
 func TestCoveringWithdrawRearmsRoutes(t *testing.T) {
 	s := testSchema(t)
-	nw := lineNetwork(t, true)
+	nw := lineNetwork(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "broad", "profile(price >= 100)")); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCoveringWithdrawRearmsRoutes(t *testing.T) {
 // equivalent on every link, and delivery must keep working end to end.
 func TestCoveringEquivalentTiebreakWithdraw(t *testing.T) {
 	s := testSchema(t)
-	nw := lineNetwork(t, true)
+	nw := lineNetwork(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "e1", "profile(price >= 500)")); err != nil {
 		t.Fatal(err)
 	}
@@ -200,117 +200,116 @@ func TestRoutingRaceStress(t *testing.T) {
 	)
 	s := testSchema(t)
 	nodes := []string{"A", "B", "C", "D"}
-	for _, covering := range []bool{false, true} {
-		t.Run(fmt.Sprintf("covering=%v", covering), func(t *testing.T) {
-			// Buffers sized so a stable subscriber can never drop: a drop
-			// would be indistinguishable from a lost forward.
-			nw := NewNetwork(s, Options{
-				Covering: covering,
-				Broker:   broker.Options{DefaultBuffer: totalEvents},
-			})
-			t.Cleanup(nw.Close)
-			for _, n := range nodes {
-				if _, err := nw.AddNode(n); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, l := range [][2]string{{"A", "B"}, {"B", "C"}, {"C", "D"}} {
-				if err := nw.Connect(l[0], l[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			type stable struct {
-				p    *predicate.Profile
-				sub  *broker.Subscription
-				node string
-			}
-			stables := make([]stable, stableSubs)
-			for i := range stables {
-				expr := fmt.Sprintf("profile(price >= %d)", i*120)
-				p := predicate.MustParse(s, predicate.ID(fmt.Sprintf("stable%d", i)), expr)
-				node := nodes[i%len(nodes)]
-				sub, err := nw.Subscribe(node, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stables[i] = stable{p: p, sub: sub, node: node}
-			}
-
-			var wg sync.WaitGroup
-			published := make([][]event.Event, publishers)
-			for g := 0; g < publishers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(100 + g)))
-					origin := nodes[g%len(nodes)]
-					evs := make([]event.Event, 0, eventsPerPub)
-					for i := 0; i < eventsPerPub; i++ {
-						ev := event.MustNew(s, float64(rng.Intn(1001)), float64(rng.Intn(101)))
-						if _, err := nw.Publish(origin, ev); err != nil {
-							panic(err)
-						}
-						evs = append(evs, ev)
-					}
-					published[g] = evs
-				}()
-			}
-			for g := 0; g < churners; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(200 + g)))
-					for i := 0; i < churnPerG; i++ {
-						id := predicate.ID(fmt.Sprintf("churn%d-%d", g, i))
-						expr := fmt.Sprintf("profile(volume >= %d)", rng.Intn(100))
-						node := nodes[rng.Intn(len(nodes))]
-						if _, err := nw.Subscribe(node, predicate.MustParse(s, id, expr)); err != nil {
-							panic(err)
-						}
-						if err := nw.Unsubscribe(node, id); err != nil {
-							panic(err)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-
-			// Sequential oracle: overlay delivery is synchronous with
-			// Publish, so once every publisher returned, each stable buffer
-			// holds its complete notification set.
-			for i, st := range stables {
-				if d := st.sub.Dropped(); d != 0 {
-					t.Fatalf("stable%d dropped %d notifications: its buffer was sized to hold everything", i, d)
-				}
-				want := 0
-				for _, evs := range published {
-					for _, ev := range evs {
-						if st.p.Matches(ev.Vals) {
-							want++
-						}
-					}
-				}
-				got := len(st.sub.C())
-				if got != want {
-					t.Errorf("stable%d@%s: received %d notifications, oracle says %d", i, st.node, got, want)
-				}
-				seen := make(map[uint64]bool, got)
-				for len(st.sub.C()) > 0 {
-					n := <-st.sub.C()
-					if !st.p.Matches(n.Event.Vals) {
-						t.Fatalf("stable%d: notified for non-matching event %v", i, n.Event.Vals)
-					}
-					key := n.Event.Seq
-					if seen[key] {
-						t.Fatalf("stable%d: duplicate notification for seq %d", i, key)
-					}
-					seen[key] = true
-				}
-			}
-			if st := nw.Stats(); st.Messages == 0 {
-				t.Error("stress run forwarded nothing across links")
-			}
+	// Link filters always prune covered routes; the subtest keeps the name
+	// it had when covering was an option.
+	t.Run("covering=true", func(t *testing.T) {
+		// Buffers sized so a stable subscriber can never drop: a drop
+		// would be indistinguishable from a lost forward.
+		nw := NewNetwork(s, Options{
+			Broker: broker.Options{DefaultBuffer: totalEvents},
 		})
-	}
+		t.Cleanup(nw.Close)
+		for _, n := range nodes {
+			if _, err := nw.AddNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range [][2]string{{"A", "B"}, {"B", "C"}, {"C", "D"}} {
+			if err := nw.Connect(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		type stable struct {
+			p    *predicate.Profile
+			sub  *broker.Subscription
+			node string
+		}
+		stables := make([]stable, stableSubs)
+		for i := range stables {
+			expr := fmt.Sprintf("profile(price >= %d)", i*120)
+			p := predicate.MustParse(s, predicate.ID(fmt.Sprintf("stable%d", i)), expr)
+			node := nodes[i%len(nodes)]
+			sub, err := nw.Subscribe(node, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stables[i] = stable{p: p, sub: sub, node: node}
+		}
+
+		var wg sync.WaitGroup
+		published := make([][]event.Event, publishers)
+		for g := 0; g < publishers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(100 + g)))
+				origin := nodes[g%len(nodes)]
+				evs := make([]event.Event, 0, eventsPerPub)
+				for i := 0; i < eventsPerPub; i++ {
+					ev := event.MustNew(s, float64(rng.Intn(1001)), float64(rng.Intn(101)))
+					if _, err := nw.Publish(origin, ev); err != nil {
+						panic(err)
+					}
+					evs = append(evs, ev)
+				}
+				published[g] = evs
+			}()
+		}
+		for g := 0; g < churners; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(200 + g)))
+				for i := 0; i < churnPerG; i++ {
+					id := predicate.ID(fmt.Sprintf("churn%d-%d", g, i))
+					expr := fmt.Sprintf("profile(volume >= %d)", rng.Intn(100))
+					node := nodes[rng.Intn(len(nodes))]
+					if _, err := nw.Subscribe(node, predicate.MustParse(s, id, expr)); err != nil {
+						panic(err)
+					}
+					if err := nw.Unsubscribe(node, id); err != nil {
+						panic(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		// Sequential oracle: overlay delivery is synchronous with
+		// Publish, so once every publisher returned, each stable buffer
+		// holds its complete notification set.
+		for i, st := range stables {
+			if d := st.sub.Dropped(); d != 0 {
+				t.Fatalf("stable%d dropped %d notifications: its buffer was sized to hold everything", i, d)
+			}
+			want := 0
+			for _, evs := range published {
+				for _, ev := range evs {
+					if st.p.Matches(ev.Vals) {
+						want++
+					}
+				}
+			}
+			got := len(st.sub.C())
+			if got != want {
+				t.Errorf("stable%d@%s: received %d notifications, oracle says %d", i, st.node, got, want)
+			}
+			seen := make(map[uint64]bool, got)
+			for len(st.sub.C()) > 0 {
+				n := <-st.sub.C()
+				if !st.p.Matches(n.Event.Vals) {
+					t.Fatalf("stable%d: notified for non-matching event %v", i, n.Event.Vals)
+				}
+				key := n.Event.Seq
+				if seen[key] {
+					t.Fatalf("stable%d: duplicate notification for seq %d", i, key)
+				}
+				seen[key] = true
+			}
+		}
+		if st := nw.Stats(); st.Messages == 0 {
+			t.Error("stress run forwarded nothing across links")
+		}
+	})
 }

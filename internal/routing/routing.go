@@ -33,12 +33,12 @@ var (
 )
 
 // Options configure a Network.
+//
+// Link filters always prune covered routes: each route install is one
+// incremental covering-poset insertion instead of an O(n²) rescan of the
+// whole route set, and only uncovered (root) routes are indexed for
+// forwarding decisions.
 type Options struct {
-	// Covering enables covering-based propagation pruning: link engines run
-	// in aggregated mode, so each route install is one incremental covering-
-	// poset insertion instead of an O(n²) rescan of the whole route set, and
-	// only uncovered (root) routes are indexed for forwarding decisions.
-	Covering bool
 	// Engine configures every filter engine in the overlay (local and
 	// per-link).
 	Engine core.Config
@@ -96,21 +96,19 @@ type link struct {
 	peer *Node
 	// routes maps profile id to the propagated profile.
 	routes map[predicate.ID]*predicate.Profile
-	// filter is the concrete engine route churn mutates incrementally. With
-	// covering enabled it runs in aggregated mode: the canonical poset prunes
-	// covered routes structurally, replacing the per-install rescan.
+	// filter is the concrete engine route churn mutates incrementally: its
+	// canonical poset prunes covered routes structurally, replacing the
+	// per-install rescan.
 	filter *core.Engine
 	// engine is the match surface deliver reads. It normally aliases filter;
 	// tests substitute failing filters to pin deliver's error behavior.
 	engine linkFilter
 }
 
-// newLink builds the routing state toward peer. Covering links aggregate:
-// the engine's poset maintains the uncovered route set incrementally.
+// newLink builds the routing state toward peer. The link engine's poset
+// maintains the uncovered route set incrementally.
 func (nw *Network) newLink(peer *Node) *link {
-	cfg := nw.opts.Engine
-	cfg.Aggregate = nw.opts.Covering
-	eng := core.NewEngine(nw.schema, cfg)
+	eng := core.NewEngine(nw.schema, nw.opts.Engine)
 	return &link{peer: peer, routes: make(map[predicate.ID]*predicate.Profile), filter: eng, engine: eng}
 }
 
@@ -235,9 +233,9 @@ func (n *Node) propagate(p *predicate.Profile, from string) {
 }
 
 // installRoute records that profiles in direction `via` include p. The link
-// engine is mutated incrementally: one AddProfile, which under covering is a
-// single poset insertion — the engine's aggregation layer demotes newly
-// covered routes itself, so no rescan of the existing route set happens here.
+// engine is mutated incrementally: one AddProfile, which is a single poset
+// insertion — the engine's covering poset demotes newly covered routes
+// itself, so no rescan of the existing route set happens here.
 func (n *Node) installRoute(via string, p *predicate.Profile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -271,8 +269,8 @@ func (n *Node) withdraw(id predicate.ID, from string) {
 	}
 }
 
-// removeRoute withdraws id from the link toward `via`. Under covering the
-// engine's poset re-arms previously covered routes itself (kids of an
+// removeRoute withdraws id from the link toward `via`. The engine's poset
+// re-arms previously covered routes itself (kids of an
 // emptied node re-link upward or promote to roots), so withdrawal is one
 // incremental RemoveProfile, not a rebuild.
 func (n *Node) removeRoute(via string, id predicate.ID) {
@@ -382,9 +380,8 @@ func (n *Node) Broker() *broker.Broker { return n.local }
 func (n *Node) Name() string { return n.name }
 
 // RouteCount returns the number of uncovered routes installed toward `via`.
-// With covering enabled that is the link poset's root count: covered routes
-// stay registered (so withdrawal of their coverer re-arms them) but are not
-// counted, matching the pruned route table of the rescan era.
+// That is the link poset's root count: covered routes stay registered (so
+// withdrawal of their coverer re-arms them) but are not counted.
 func (n *Node) RouteCount(via string) int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -392,10 +389,7 @@ func (n *Node) RouteCount(via string) int {
 	if !ok {
 		return 0
 	}
-	if st := l.filter.AggStats(); st.Enabled {
-		return st.Roots
-	}
-	return l.engine.ProfileCount()
+	return l.filter.AggStats().Roots
 }
 
 // Stats summarizes overlay traffic.

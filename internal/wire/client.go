@@ -57,15 +57,6 @@ type DialConfig struct {
 // DialConfig.PipelineDepth is zero.
 const DefaultPipelineDepth = 32
 
-// Dial connects to a GENAS daemon speaking protocol v1.
-//
-// Deprecated: use DialWith (or genas.Dial on the public surface), which
-// negotiates protocol v2 where available. Dial stays v1-pinned so existing
-// callers observe no behavior change.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialWith(addr, DialConfig{Timeout: timeout, Proto: ProtoV1})
-}
-
 // DialWith connects to a GENAS daemon. Unless cfg pins a protocol it sends
 // a hello advertising v2 first: a v2 server confirms with the schema (whose
 // attribute order defines the binary slot layout) and the connection

@@ -180,7 +180,7 @@ func TestNegotiateFallbackToV1(t *testing.T) {
 // line-protocol Dial keeps working unchanged against an upgraded daemon.
 func TestV1ClientAgainstV2Server(t *testing.T) {
 	addr := startServer(t)
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}

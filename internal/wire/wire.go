@@ -163,9 +163,10 @@ type StatsPayload struct {
 	FilterOps     uint64  `json:"filter_ops"`
 	MeanOps       float64 `json:"mean_ops"`
 	Restructures  int     `json:"restructures,omitempty"`
-	// Aggregation counters (aggregated daemons only): distinct canonical
-	// predicate nodes, uncovered roots the automaton indexes, the longest
-	// covering chain, and subscriptions-per-canonical-node.
+	// Canonical index counters: distinct canonical predicate nodes,
+	// uncovered roots the automaton indexes, the longest covering chain,
+	// and subscriptions-per-canonical-node. Aggregated is always true; it
+	// stays on the wire for clients that still read it.
 	Aggregated           bool    `json:"aggregated,omitempty"`
 	CanonicalNodes       int     `json:"canonical_nodes,omitempty"`
 	CanonicalRoots       int     `json:"canonical_roots,omitempty"`

@@ -14,11 +14,11 @@ type Network struct {
 // NetworkStats is the overlay-wide counter snapshot.
 type NetworkStats = routing.Stats
 
-// NewNetwork creates a distributed broker overlay over the schema. With
-// covering enabled, profiles covered by already-propagated profiles are not
-// re-propagated (Siena-style optimization).
-func NewNetwork(sch *Schema, covering bool) *Network {
-	return &Network{nw: routing.NewNetwork(sch, routing.Options{Covering: covering})}
+// NewNetwork creates a distributed broker overlay over the schema. Each
+// link's routing filter prunes profiles covered by routes already installed
+// on it (Siena-style optimization).
+func NewNetwork(sch *Schema) *Network {
+	return &Network{nw: routing.NewNetwork(sch, routing.Options{})}
 }
 
 // AddNode adds a broker to the overlay.
